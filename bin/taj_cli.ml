@@ -322,23 +322,30 @@ let triage_finding_json (f : Triage.finding) =
 
 (* issues + the supervisor's diagnostics block; [builder] is absent exactly
    when no attempt completed, in which case the report has no issues.
-   [completed] (the successful attempt, when there is one) contributes the
+   [analysis] (the successful attempt, when there is one) contributes the
    worker-pool size and the per-phase wall-clock breakdown. *)
-let emit_json ?builder ?completed (outcome : Supervisor.outcome)
+let emit_json ?builder ?analysis (outcome : Supervisor.outcome)
     (report : Report.t) =
   let issues =
     match builder with Some b -> issues_json b report | None -> ""
   in
+  let completed =
+    match analysis with
+    | Some ({ Taj.result = Taj.Completed c; _ } as a) -> Some (a, c)
+    | _ -> None
+  in
   let timing =
-    match (completed : Taj.completed option) with
+    match completed with
     | None -> ""
-    | Some c ->
+    | Some (a, c) ->
       Printf.sprintf
         "  \"jobs\": %d,\n\
-        \  \"phases\": { \"frontend\": %.3f, \"pointer\": %.3f, \
-         \"sdg\": %.3f, \"taint\": %.3f, \"total\": %.3f },\n"
-        c.Taj.jobs c.Taj.times.Taj.t_frontend c.Taj.times.Taj.t_pointer
-        c.Taj.times.Taj.t_sdg c.Taj.times.Taj.t_taint c.Taj.times.Taj.t_total
+        \  \"phases\": { \"frontend\": %.3f, \"triage\": %.3f, \
+         \"pointer\": %.3f, \"sdg\": %.3f, \"taint\": %.3f, \
+         \"total\": %.3f },\n"
+        c.Taj.jobs c.Taj.times.Taj.t_frontend a.Taj.triage_seconds
+        c.Taj.times.Taj.t_pointer c.Taj.times.Taj.t_sdg
+        c.Taj.times.Taj.t_taint c.Taj.times.Taj.t_total
   in
   let metrics =
     if Obs.Telemetry.enabled () then
@@ -349,7 +356,7 @@ let emit_json ?builder ?completed (outcome : Supervisor.outcome)
      included, so consumers can branch on it unconditionally *)
   let refined =
     match completed with
-    | Some c ->
+    | Some (_, c) ->
       (match c.Taj.outcome.Engine.refined with
        | Some rf ->
          Printf.sprintf
@@ -568,9 +575,10 @@ let analyze_cmd =
       if stats then begin
         Printf.eprintf
           "call-graph: %d nodes, %d edges; jobs %d; frontend %.3fs, \
-           pointer %.3fs, sdg %.3fs, taint %.3fs, total %.3fs\n"
+           triage %.3fs, pointer %.3fs, sdg %.3fs, taint %.3fs, total %.3fs\n"
           c.Taj.cg_nodes c.Taj.cg_edges c.Taj.jobs
-          c.Taj.times.Taj.t_frontend c.Taj.times.Taj.t_pointer
+          c.Taj.times.Taj.t_frontend analysis.Taj.triage_seconds
+          c.Taj.times.Taj.t_pointer
           c.Taj.times.Taj.t_sdg c.Taj.times.Taj.t_taint
           c.Taj.times.Taj.t_total;
         (* distribution shape of every histogram the run populated *)
@@ -598,7 +606,7 @@ let analyze_cmd =
           degradations
       end;
       if json then
-        emit_json ~builder:c.Taj.builder ~completed:c outcome c.Taj.report
+        emit_json ~builder:c.Taj.builder ~analysis outcome c.Taj.report
       else begin
         Fmt.pr "%a@." (Report.pp c.Taj.builder) c.Taj.report;
         (* string-context diagnostics where a template is recoverable *)

@@ -64,6 +64,9 @@ type analysis = {
   config : Config.t;
   rules : Rules.rule list;
   result : result;
+  triage_seconds : float;
+      (** wall clock of this run's triage pre-filter (also in [total]);
+          0 when the pre-filter did not run or faulted *)
 }
 
 exception Load_error of string
@@ -288,7 +291,11 @@ let run ?(rules = Rules.default_rules) ?(jobs = 1) ?budget ?diagnostics
   let events_since_mark () =
     List.filteri (fun i _ -> i >= mark) (Diagnostics.events diagnostics)
   in
-  let fail reason = { loaded; config; rules; result = Did_not_complete reason } in
+  let t_triage = ref 0.0 in
+  let fail reason =
+    { loaded; config; rules; result = Did_not_complete reason;
+      triage_seconds = !t_triage }
+  in
   let fault phase e =
     Diagnostics.record diagnostics
       (Phase_fault { phase; error = Printexc.to_string e });
@@ -323,7 +330,9 @@ let run ?(rules = Rules.default_rules) ?(jobs = 1) ?budget ?diagnostics
           ~tick:(fun () -> Fault.tick Fault.site_triage_infer)
           ~rules loaded
       with
-      | v, _ -> Some v
+      | v, t ->
+        t_triage := t;
+        Some v
       | exception e ->
         Diagnostics.record diagnostics
           (Phase_fault { phase = Triage; error = Printexc.to_string e });
@@ -448,7 +457,7 @@ let run ?(rules = Rules.default_rules) ?(jobs = 1) ?budget ?diagnostics
             | exception e -> fault Taint e
             | report, run_events ->
               let cg = Pointer.Andersen.call_graph andersen in
-              { loaded; config; rules;
+              { loaded; config; rules; triage_seconds = !t_triage;
                 result =
                   Completed
                     { report; outcome; andersen; builder; heapgraph;

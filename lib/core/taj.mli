@@ -57,6 +57,10 @@ type analysis = {
   config : Config.t;
   rules : Rules.rule list;
   result : result;
+  triage_seconds : float;
+      (** wall clock of this run's triage pre-filter pass (included in
+          the completed run's [t_total]); 0 when the pre-filter did not
+          run (disabled, under refinement) or faulted *)
 }
 
 (** Raised on malformed input with a human-readable location. *)

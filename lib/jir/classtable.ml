@@ -39,13 +39,16 @@ type cls = {
 type t = {
   classes : (string, cls) Hashtbl.t;
   mutable subclass_cache : (string * string, bool) Hashtbl.t;
+  mutable subtypes : (string, string list) Hashtbl.t option;
+      (* supertype -> its concrete subclasses, sorted; built on first use *)
 }
 
 exception Unknown_class of string
 exception Hierarchy_error of string
 
 let create () =
-  { classes = Hashtbl.create 256; subclass_cache = Hashtbl.create 1024 }
+  { classes = Hashtbl.create 256; subclass_cache = Hashtbl.create 1024;
+    subtypes = None }
 
 let mem t name = Hashtbl.mem t.classes name
 
@@ -132,7 +135,8 @@ let add_decl t ~library (d : Ast.decl) =
         cl_ctor_arities = [] }
   in
   Hashtbl.replace t.classes name cls;
-  Hashtbl.reset t.subclass_cache
+  Hashtbl.reset t.subclass_cache;
+  t.subtypes <- None
 
 (* ------------------------------------------------------------------ *)
 (* Subtyping                                                          *)
@@ -159,17 +163,59 @@ let rec is_subclass t c d =
       Hashtbl.replace t.subclass_cache (c, d) r;
       r
 
+(* The reflexive-transitive supertypes of [name]: itself, its superclass
+   and interfaces, and theirs. A name missing from the table is kept but
+   not walked past — exactly the names [is_subclass name _] accepts,
+   "Object" aside. The visited set makes a cyclic hierarchy terminate. *)
+let ancestors t name =
+  let seen = Hashtbl.create 16 in
+  let rec walk n =
+    if not (Hashtbl.mem seen n) then begin
+      Hashtbl.add seen n ();
+      match Hashtbl.find_opt t.classes n with
+      | None -> ()
+      | Some c ->
+        Option.iter walk c.cl_super;
+        List.iter walk c.cl_ifaces
+    end
+  in
+  walk name;
+  seen
+
+(* The subtype index, built once per table: each concrete class's
+   ancestor set is computed once and inverted into supertype -> concrete
+   subclasses. Classes are visited in descending name order and consed,
+   so every list comes out sorted. "Object" maps to every concrete class,
+   whatever its declared supertypes. Cost: the sum of the ancestor-set
+   sizes, i.e. linear in classes times hierarchy depth. *)
+let subtype_index t =
+  match t.subtypes with
+  | Some idx -> idx
+  | None ->
+    let idx = Hashtbl.create (Hashtbl.length t.classes) in
+    let push a c =
+      let l = Option.value ~default:[] (Hashtbl.find_opt idx a) in
+      Hashtbl.replace idx a (c :: l)
+    in
+    Hashtbl.fold
+      (fun name c acc ->
+         if c.cl_kind = Class_kind && not c.cl_abstract then name :: acc
+         else acc)
+      t.classes []
+    |> List.sort (fun a b -> String.compare b a)
+    |> List.iter (fun c ->
+      push "Object" c;
+      Hashtbl.iter
+        (fun a () -> if not (String.equal a "Object") then push a c)
+        (ancestors t c));
+    t.subtypes <- Some idx;
+    idx
+
 (** Concrete (non-abstract, non-interface) subclasses of [d], including [d]
-    itself if concrete. Used for framework modeling ("all compatible subtypes
-    of ActionForm", §4.2.2). *)
+    itself if concrete, sorted by name. Used for framework modeling ("all
+    compatible subtypes of ActionForm", §4.2.2) and CHA call resolution. *)
 let concrete_subtypes t d =
-  Hashtbl.fold
-    (fun name c acc ->
-       if c.cl_kind = Class_kind && not c.cl_abstract && is_subclass t name d
-       then name :: acc
-       else acc)
-    t.classes []
-  |> List.sort String.compare
+  Option.value ~default:[] (Hashtbl.find_opt (subtype_index t) d)
 
 (* ------------------------------------------------------------------ *)
 (* Resolution                                                         *)

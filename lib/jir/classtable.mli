@@ -61,7 +61,9 @@ val add_decl : t -> library:bool -> Ast.decl -> unit
 val is_subclass : t -> string -> string -> bool
 
 (** Concrete (non-abstract class) subtypes of a class or interface,
-    sorted by name. *)
+    sorted by name. A lookup in a subtype index built on first use, in
+    time linear in classes times hierarchy depth, and dropped by
+    {!add_decl}. *)
 val concrete_subtypes : t -> string -> string list
 
 (** Resolve a field to its declaring class, walking up the hierarchy. *)

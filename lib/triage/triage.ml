@@ -9,6 +9,9 @@ module Telemetry = Obs.Telemetry
 
 let m_sweeps = Telemetry.counter "triage.sweeps"
 let m_findings = Telemetry.counter "triage.findings"
+let m_resolutions = Telemetry.counter "triage.resolutions"
+let m_dispatch_probes = Telemetry.counter "triage.dispatch_probes"
+let h_infer_us = Telemetry.histogram "triage.infer_us"
 
 type qual = Untainted | Unknown | Tainted
 
@@ -82,7 +85,8 @@ let rule_has_source v rule = Hashtbl.mem v.v_rules_with_sources rule
 
 (* Targets of a call under class-hierarchy analysis — a superset of the
    pointer call graph's edges, which is what makes propagating through
-   every CHA target sound for the filter. *)
+   every CHA target sound for the filter. A pure function of the call's
+   kind and target, so [infer] resolves each distinct pair once. *)
 type resolution = {
   r_bodies : string list;     (* target method ids with bodies *)
   r_bodyless : string list;   (* native/abstract targets (summary flow) *)
@@ -90,17 +94,18 @@ type resolution = {
 }
 
 let resolve_call (table : Classtable.t) (prog : Program.t)
-    (c : Tac.call) : resolution =
+    (kind : Tac.call_kind) (target : Tac.mref) : resolution =
+  Telemetry.incr m_resolutions;
   let minfo_id (mi : Classtable.minfo) =
     Printf.sprintf "%s.%s/%d" mi.Classtable.mi_class mi.Classtable.mi_name
       mi.Classtable.mi_arity
   in
-  let { Tac.rclass; rname; rarity } = c.Tac.target in
+  let { Tac.rclass; rname; rarity } = target in
   let known = Classtable.mem table rclass in
   let minfos =
     if not known then []
     else
-      match c.Tac.kind with
+      match kind with
       | Tac.Static | Tac.Special ->
         (match Classtable.resolve_static table rclass rname rarity with
          | Some mi -> [ mi ]
@@ -113,7 +118,9 @@ let resolve_call (table : Classtable.t) (prog : Program.t)
         in
         let dispatched =
           List.filter_map
-            (fun sub -> Classtable.dispatch table sub rname rarity)
+            (fun sub ->
+               Telemetry.incr m_dispatch_probes;
+               Classtable.dispatch table sub rname rarity)
             (Classtable.concrete_subtypes table rclass)
         in
         base @ dispatched
@@ -195,16 +202,23 @@ let infer ?(tick = fun () -> ()) ?(issue_of_rule = fun r -> r)
       Hashtbl.add params mid a;
       a
   in
-  (* memoized per-site call classification and resolution: both are pure
-     functions of the (immutable) call and program *)
-  let rules_memo : (int, call_rules) Hashtbl.t = Hashtbl.create 1024 in
-  let resolve_memo : (int, resolution) Hashtbl.t = Hashtbl.create 1024 in
+  (* call classification and CHA resolution are pure functions of the
+     call's kind and target, so both are memoized per distinct target,
+     not per site: the many sites of one popular target share a single
+     rule lookup and a single dispatch over its receiver's subtypes *)
+  let rules_memo : (Tac.call_kind * Tac.mref, call_rules) Hashtbl.t =
+    Hashtbl.create 1024
+  in
+  let resolve_memo : (Tac.call_kind * Tac.mref, resolution) Hashtbl.t =
+    Hashtbl.create 1024
+  in
   let dict_memo : (int, Models.Dict_model.op option) Hashtbl.t =
     Hashtbl.create 256
   in
   let rules_with_sources : (string, unit) Hashtbl.t = Hashtbl.create 8 in
   let rules_of (c : Tac.call) =
-    match Hashtbl.find_opt rules_memo c.Tac.site with
+    let key = (c.Tac.kind, c.Tac.target) in
+    match Hashtbl.find_opt rules_memo key with
     | Some cr -> cr
     | None ->
       let cr = classify c in
@@ -214,22 +228,25 @@ let infer ?(tick = fun () -> ()) ?(issue_of_rule = fun r -> r)
       List.iter
         (fun (_, r) -> Hashtbl.replace rules_with_sources r ())
         cr.cr_source_params;
-      Hashtbl.add rules_memo c.Tac.site cr;
+      Hashtbl.add rules_memo key cr;
       cr
   in
   let resolution_of (c : Tac.call) =
-    match Hashtbl.find_opt resolve_memo c.Tac.site with
+    let key = (c.Tac.kind, c.Tac.target) in
+    match Hashtbl.find_opt resolve_memo key with
     | Some r -> r
     | None ->
-      let r = resolve_call table prog c in
-      Hashtbl.add resolve_memo c.Tac.site r;
+      let r = resolve_call table prog c.Tac.kind c.Tac.target in
+      Hashtbl.add resolve_memo key r;
       r
   in
   let dict_of ~const_of (c : Tac.call) =
     match Hashtbl.find_opt dict_memo c.Tac.site with
     | Some op -> op
     | None ->
-      let op = Models.Dict_model.classify ~const_of c in
+      let op =
+        Models.Dict_model.classify ~const_of:(fun v -> Lazy.force const_of v) c
+      in
       Hashtbl.add dict_memo c.Tac.site op;
       op
   in
@@ -255,7 +272,10 @@ let infer ?(tick = fun () -> ()) ?(issue_of_rule = fun r -> r)
     (* formals receive what call sites passed in *)
     let pq = param_array mid m.Tac.m_arity in
     Array.iteri (fun i q -> setv i q) pq;
-    let const_of = Models.Dict_model.const_of_meth m in
+    (* the SSA def-site scan behind [const_of] is only needed when a
+       site misses [dict_memo]; the first sweep of a method classifies
+       all its sites, so the scan runs at most once per method *)
+    let const_of = lazy (Models.Dict_model.const_of_meth m) in
     let do_call (c : Tac.call) =
       let cr = rules_of c in
       let argq = List.map getv c.Tac.args in
@@ -520,6 +540,8 @@ let infer ?(tick = fun () -> ()) ?(issue_of_rule = fun r -> r)
     methods;
   let n_methods = List.length methods in
   let skippable = n_methods - Hashtbl.length kept in
+  let seconds = Unix.gettimeofday () -. t0 in
+  Telemetry.observe h_infer_us (int_of_float (seconds *. 1e6));
   { v_findings = findings;
     v_keep = kept;
     v_rules_with_sources = rules_with_sources;
@@ -529,4 +551,4 @@ let infer ?(tick = fun () -> ()) ?(issue_of_rule = fun r -> r)
         s_tainted_methods = !tainted_methods;
         s_findings = List.length findings;
         s_passes = !passes;
-        s_seconds = Unix.gettimeofday () -. t0 } }
+        s_seconds = seconds } }

@@ -79,7 +79,9 @@ type stats = {
 type verdict
 
 (** Run the inference to fixpoint. [classify] maps each call to its
-    rule interactions (see {!call_rules}); [issue_of_rule] names the
+    rule interactions (see {!call_rules}); it must depend only on the
+    call's kind and target, because its answer is memoized per distinct
+    (kind, target) pair, as is CHA resolution. [issue_of_rule] names the
     issue a rule reports (for findings). [tick] is a fault-injection
     hook invoked once per method sweep — an exception it raises escapes
     [infer] and is the caller's to contain. *)

@@ -5,6 +5,7 @@ let () =
       ("lower", Test_lower.suite);
       ("ssa", Test_ssa.suite);
       ("cfg", Test_cfg.suite);
+      ("classtable", Test_classtable.suite);
       ("pretty", Test_pretty.suite);
       ("taint", Test_taint.suite);
       ("reflection", Test_reflection.suite);

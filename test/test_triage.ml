@@ -2,7 +2,9 @@
    - the inference finds type-level taint witnesses with no slicing;
    - untaint-reachable helpers are skippable, rule-relevant code is not;
    - the pre-filter changes no report byte, at any worker-pool size,
-     over the whole benchmark suite (the metamorphic contract);
+     over the whole benchmark suite (the metamorphic contract), and on
+     GridSphere at a scale whose bounds keep its planted flows;
+   - CHA resolution stays linear: a counted bound on dispatch probes;
    - an injected triage fault degrades to the unfiltered full analysis
      instead of failing the run;
    - the degradation ladder gets strictly cheaper rung to rung and
@@ -84,9 +86,9 @@ let test_rule_has_source () =
 (* pre-filter metamorphic contract                                    *)
 (* ------------------------------------------------------------------ *)
 
-let rendered_report ~jobs ~filter loaded =
+let rendered_report ?(scale = 0.02) ~jobs ~filter loaded =
   let config =
-    { (Config.preset ~scale:0.02 Config.Hybrid_optimized) with
+    { (Config.preset ~scale Config.Hybrid_optimized) with
       Config.triage_filter = filter }
   in
   match (Taj.run ~jobs loaded config).Taj.result with
@@ -113,6 +115,53 @@ let test_filter_byte_identity_all_apps () =
               (rendered_report ~jobs ~filter:true loaded))
          [ 1; 4 ])
     Workloads.Apps.table2
+
+(* At 0.02 the call-graph bound cuts most of GridSphere's planted flows,
+   so the contract is also checked at 0.2 with bounds of that scale,
+   where the full analysis reports 101 issues. *)
+let gridsphere_02 =
+  lazy
+    (Taj.load
+       (Workloads.Codegen.to_input
+          (Workloads.Apps.generate ~scale:0.2
+             (Option.get (Workloads.Apps.find "GridSphere")))))
+
+let test_filter_byte_identity_gridsphere_02 () =
+  let loaded = Lazy.force gridsphere_02 in
+  let off = rendered_report ~scale:0.2 ~jobs:1 ~filter:false loaded in
+  Alcotest.(check bool) "GridSphere@0.2 reports its 101 issues" true
+    (String.starts_with ~prefix:"101 issue(s)" off);
+  Alcotest.(check string) "GridSphere@0.2: filtered report identical" off
+    (rendered_report ~scale:0.2 ~jobs:1 ~filter:true loaded)
+
+(* CHA resolution is memoized per distinct call target, and the subtype
+   list it dispatches over comes from the class table's index: the
+   number of [Classtable.dispatch] probes tracks distinct virtual targets
+   times their receivers' subtypes, not call sites times classes. The
+   bound is a deterministic work counter, not wall time. *)
+let test_dispatch_probes_bounded () =
+  let loaded = Lazy.force gridsphere_02 in
+  Obs.Telemetry.reset ();
+  Obs.Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Telemetry.disable ();
+      Obs.Telemetry.reset ())
+  @@ fun () ->
+  ignore (Taj.triage ~rules:Rules.default_rules loaded);
+  let counter name =
+    match Obs.Telemetry.find_value name with
+    | Some (Obs.Telemetry.V_counter n) -> n
+    | _ -> Alcotest.failf "counter %s not registered" name
+  in
+  let probes = counter "triage.dispatch_probes" in
+  let resolutions = counter "triage.resolutions" in
+  Alcotest.(check bool)
+    (Printf.sprintf "some targets resolved (%d)" resolutions)
+    true (resolutions > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "dispatch probes %d <= 20000" probes)
+    true (probes <= 20_000)
 
 (* ------------------------------------------------------------------ *)
 (* fault containment                                                  *)
@@ -259,6 +308,10 @@ let suite =
     Alcotest.test_case "rule-has-source" `Quick test_rule_has_source;
     Alcotest.test_case "filter byte-identity over all apps" `Quick
       test_filter_byte_identity_all_apps;
+    Alcotest.test_case "filter byte-identity on GridSphere@0.2" `Quick
+      test_filter_byte_identity_gridsphere_02;
+    Alcotest.test_case "dispatch probes bounded on GridSphere@0.2" `Quick
+      test_dispatch_probes_bounded;
     Alcotest.test_case "infer fault degrades to unfiltered" `Quick
       test_fault_in_infer_degrades_to_unfiltered;
     Alcotest.test_case "filter fault degrades to unfiltered" `Quick
