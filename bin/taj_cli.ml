@@ -88,16 +88,21 @@ let refine_flag =
   in
   Arg.(value & flag & info [ "refine" ] ~doc)
 
+(* flag defaults are read from the preset, their one home *)
+let preset_defaults = Config.preset Config.Hybrid_optimized
+
 let refine_k =
   let doc = "Access-path depth bound for --refine." in
-  Arg.(value & opt int 3 & info [ "refine-k" ] ~docv:"K" ~doc)
+  Arg.(value & opt int preset_defaults.Config.refine_k
+       & info [ "refine-k" ] ~docv:"K" ~doc)
 
 let refine_steps =
   let doc =
     "Per-flow replay step budget for --refine; exhaustion demotes the \
      flow to plausible."
   in
-  Arg.(value & opt int 4096 & info [ "refine-steps" ] ~docv:"N" ~doc)
+  Arg.(value & opt int preset_defaults.Config.refine_steps
+       & info [ "refine-steps" ] ~docv:"N" ~doc)
 
 let with_refine cfg ~refine ~refine_k ~refine_steps =
   { cfg with Config.refine; refine_k; refine_steps }
@@ -448,18 +453,19 @@ let analyze_cmd =
                 type-level findings with no flow paths, in milliseconds. \
                 Equivalent to --algorithm triage.")
   in
-  let no_triage_filter =
+  let triage_filter =
     Arg.(value & flag
-         & info [ "no-triage-filter" ]
+         & info [ "triage-filter" ]
              ~doc:
-               "Disable the triage pre-filter that skips \
+               "Run the triage pre-filter first and let it skip \
                 provably-untaint-reachable methods during dependence-graph \
-                construction and rules with no matched source. The report \
-                is byte-identical either way; this exists for \
+                construction and rules with no matched source. Off by \
+                default: the inference costs more than the work it saves. \
+                The report is byte-identical either way; this exists for \
                 cross-checking and for timing the filter's effect.")
   in
   let run algorithm scale jobs descriptor_file srcs json stats csrf deadline
-      no_degrade verify_ir triage no_triage_filter refine refine_k
+      no_degrade verify_ir triage triage_filter refine refine_k
       refine_steps contexts no_contexts trace metrics cache_dir no_cache =
     let algorithm = if triage then Config.Type_triage else algorithm in
     let input = load_input ~name:"cli" ~srcs ~descriptor_file in
@@ -525,7 +531,7 @@ let analyze_cmd =
            ~contexts ~no_contexts)
         with
         Config.cache_dir = (if no_cache then None else cache_dir);
-        triage_filter = not no_triage_filter }
+        triage_filter }
     in
     let outcome = Supervisor.run ~options ~config input in
     cache_commit session ~config outcome input;
@@ -659,7 +665,7 @@ let analyze_cmd =
   Cmd.v (Cmd.info "analyze" ~doc ~man)
     Term.(const run $ algorithm $ scale $ jobs $ descriptor_file $ sources
           $ json $ stats $ csrf $ deadline $ no_degrade $ verify_ir
-          $ triage $ no_triage_filter $ refine_flag $ refine_k
+          $ triage $ triage_filter $ refine_flag $ refine_k
           $ refine_steps $ contexts_flag $ no_contexts_flag
           $ trace_file $ metrics_flag $ cache_dir_arg
           $ no_cache_flag)
@@ -968,11 +974,11 @@ let score_cmd =
          & info [ "csv" ] ~docv:"FILE"
              ~doc:"With --rung, also write the per-rung table to $(docv).")
   in
-  let score_no_filter =
+  let score_triage_filter =
     Arg.(value & flag
-         & info [ "no-triage-filter" ]
+         & info [ "triage-filter" ]
              ~doc:
-               "Score with the triage pre-filter disabled. The filter is \
+               "Score with the triage pre-filter enabled. The filter is \
                 metamorphic — it may only skip provably taint-free work — \
                 so the scored reports must be identical either way; this \
                 flag exists for CI to check exactly that.")
@@ -1024,7 +1030,7 @@ let score_cmd =
       close_out oc;
       Printf.printf "wrote %s\n" file
   in
-  let run name algorithm rung csv no_filter scale jobs refine refine_k
+  let run name algorithm rung csv triage_filter scale jobs refine refine_k
       refine_steps contexts trace metrics =
     match Workloads.Apps.find name with
     | None ->
@@ -1038,7 +1044,7 @@ let score_cmd =
       telemetry_setup ~trace ~metrics;
       let runs =
         Workloads.Score.run_app ~scale ~jobs ~refine ~refine_k ~refine_steps
-          ~triage_filter:(not no_filter) ~contexts app
+          ~triage_filter ~contexts app
       in
       telemetry_export ~trace ~metrics;
       if refine then
@@ -1116,7 +1122,7 @@ let score_cmd =
   in
   Cmd.v (Cmd.info "score" ~doc)
     Term.(const run $ app_name $ algorithm $ rung_flag $ rung_csv
-          $ score_no_filter $ scale $ jobs $ refine_flag $ refine_k
+          $ score_triage_filter $ scale $ jobs $ refine_flag $ refine_k
           $ refine_steps $ contexts_flag $ trace_file $ metrics_flag)
 
 (* ------------------------------------------------------------------ *)

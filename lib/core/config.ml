@@ -50,7 +50,10 @@ type t = {
       (* consult the type-qualifier triage verdict before building the
          SDG, skipping methods proven untaint-reachable; reports are
          byte-identical either way (the filter is disabled internally
-         when refinement runs, whose replay walks unfiltered indexes) *)
+         when refinement runs, whose replay walks unfiltered indexes).
+         Off by default: the inference costs more than the SDG and
+         engine work it saves (DESIGN.md, "Resilience & bounded
+         analysis") *)
   contexts : bool;
       (* context-sensitive sanitization: propagate through sanitizers
          instead of killing, reconstruct the sink's string template
@@ -83,7 +86,7 @@ let preset ?(scale = 1.0) (algorithm : algorithm) : t =
       refine_k = 3;
       refine_steps = 4096;
       cache_dir = None;
-      triage_filter = true;
+      triage_filter = false;
       contexts = false }
   in
   match algorithm with

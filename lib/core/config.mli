@@ -32,10 +32,11 @@ type t = {
           (every preset's default) disables caching entirely *)
   triage_filter : bool;
       (** consult the triage verdict before the SDG scan and the
-          per-rule engine, skipping work proven irrelevant; on by
-          default, disabled internally when [refine] is set (the replay
-          walks unfiltered store indexes). Reports are byte-identical
-          with the filter on or off. *)
+          per-rule engine, skipping work proven irrelevant; off by
+          default (the inference costs more than the work it saves),
+          disabled internally when [refine] is set (the replay walks
+          unfiltered store indexes). Reports are byte-identical with the
+          filter on or off. *)
   contexts : bool;
       (** context-sensitive sanitization (record-and-judge): propagate
           through sanitizers instead of killing, reconstruct the sink's
@@ -54,7 +55,9 @@ val paper_flow_length : int
 val paper_nested_depth : int
 
 (** Build a Table-1 preset; [scale] shrinks the big budgets together with
-    workload size (default 1.0). *)
+    workload size (default 1.0). This is the one place the defaults of
+    the non-bound fields ([refine_k], [refine_steps], [triage_filter],
+    ...) live; callers override fields, never restate them. *)
 val preset : ?scale:float -> algorithm -> t
 
 (** The five Table-1 algorithms ([Type_triage] is excluded: it is a

@@ -317,9 +317,11 @@ let run ?(rules = Rules.default_rules) ?(jobs = 1) ?budget ?diagnostics
   else
   (* The triage pre-filter: a flow-insensitive qualifier pass whose
      verdict lets the SDG scan and the per-rule engine skip provably
-     irrelevant work. Disabled under refinement (the replay walks
-     unfiltered store indexes). A fault anywhere in the pass degrades
-     this run to an unfiltered full analysis — recorded, never fatal. *)
+     irrelevant work. Opt-in: it costs more than it saves (DESIGN.md,
+     "Resilience & bounded analysis"), so presets leave it off.
+     Disabled under refinement (the replay walks unfiltered store
+     indexes). A fault anywhere in the pass degrades this run to an
+     unfiltered full analysis — recorded, never fatal. *)
   let filter =
     if not (config.Config.triage_filter && not config.Config.refine) then
       None

@@ -25,7 +25,13 @@ let keywords =
     "throws"; "break"; "continue"; "instanceof"; "switch"; "case"; "default";
     "do" ]
 
-let is_keyword s = List.mem s keywords
+(* Looked up once per identifier: a hash probe, not a scan of the list. *)
+let keyword_table =
+  let t = Hashtbl.create 64 in
+  List.iter (fun k -> Hashtbl.replace t k ()) keywords;
+  t
+
+let is_keyword s = Hashtbl.mem keyword_table s
 
 let is_ident_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = '$'
@@ -34,9 +40,25 @@ let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 
 let is_digit c = c >= '0' && c <= '9'
 
-(* Multi-character punctuation, longest first so greedy matching is correct. *)
-let puncts2 =
-  [ "=="; "!="; "<="; ">="; "&&"; "||"; "++"; "--"; "+="; "-="; "*="; "/=" ]
+(* Two-character operators, matched on the character pair before any
+   single-character one so matching is greedy. The spellings are shared
+   constants: emitting an operator allocates no string. *)
+let punct2 c c' =
+  match c, c' with
+  | '=', '=' -> Some "==" | '!', '=' -> Some "!=" | '<', '=' -> Some "<="
+  | '>', '=' -> Some ">=" | '&', '&' -> Some "&&" | '|', '|' -> Some "||"
+  | '+', '+' -> Some "++" | '-', '-' -> Some "--" | '+', '=' -> Some "+="
+  | '-', '=' -> Some "-=" | '*', '=' -> Some "*=" | '/', '=' -> Some "/="
+  | _ -> None
+
+let punct1 = function
+  | '{' -> Some "{" | '}' -> Some "}" | '(' -> Some "(" | ')' -> Some ")"
+  | '[' -> Some "[" | ']' -> Some "]" | ';' -> Some ";" | ',' -> Some ","
+  | '.' -> Some "." | '=' -> Some "=" | '+' -> Some "+" | '-' -> Some "-"
+  | '*' -> Some "*" | '/' -> Some "/" | '%' -> Some "%" | '<' -> Some "<"
+  | '>' -> Some ">" | '!' -> Some "!" | '?' -> Some "?" | ':' -> Some ":"
+  | '&' -> Some "&" | '|' -> Some "|"
+  | _ -> None
 
 let tokenize (src : string) : token located list =
   let n = String.length src in
@@ -125,18 +147,12 @@ let tokenize (src : string) : token located list =
     end
     else begin
       let p = pos !i in
-      let two =
-        if !i + 1 < n then Some (String.sub src !i 2) else None
-      in
-      match two with
-      | Some s when List.mem s puncts2 -> emit (PUNCT s) p; i := !i + 2
-      | _ ->
-        (match c with
-         | '{' | '}' | '(' | ')' | '[' | ']' | ';' | ',' | '.' | '='
-         | '+' | '-' | '*' | '/' | '%' | '<' | '>' | '!' | '?' | ':'
-         | '&' | '|' ->
-           emit (PUNCT (String.make 1 c)) p; incr i
-         | _ ->
+      match if !i + 1 < n then punct2 c src.[!i + 1] else None with
+      | Some s -> emit (PUNCT s) p; i := !i + 2
+      | None ->
+        (match punct1 c with
+         | Some s -> emit (PUNCT s) p; incr i
+         | None ->
            raise (Lex_error (Printf.sprintf "unexpected character %C" c, p)))
     end
   done;

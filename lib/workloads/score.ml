@@ -141,14 +141,20 @@ let sanitization_of (truth : Ground_truth.t) (builder : Sdg.Builder.t)
 
 (** Run one algorithm over a loaded app and score it. [refine] switches on
     the access-path second pass; [refine_k]/[refine_steps] tune it;
-    [contexts] switches on the sanitization judge. *)
-let run_config ?(jobs = 1) ?(refine = false) ?(refine_k = 3)
-    ?(refine_steps = 4096) ?(triage_filter = true) ?(contexts = false)
-    ~(loaded : Taj.loaded) ~(truth : Ground_truth.t) ~(app : string)
-    ~(scale : float) (algorithm : Config.algorithm) : run =
+    [contexts] switches on the sanitization judge. An omitted argument
+    keeps the preset's value: the defaults live in {!Config.preset}. *)
+let run_config ?(jobs = 1) ?refine ?refine_k ?refine_steps ?triage_filter
+    ?contexts ~(loaded : Taj.loaded) ~(truth : Ground_truth.t)
+    ~(app : string) ~(scale : float) (algorithm : Config.algorithm) : run =
+  let base = Config.preset ~scale algorithm in
+  let ( |? ) o d = Option.value o ~default:d in
   let config =
-    { (Config.preset ~scale algorithm) with
-      Config.refine; refine_k; refine_steps; triage_filter; contexts }
+    { base with
+      Config.refine = refine |? base.Config.refine;
+      refine_k = refine_k |? base.Config.refine_k;
+      refine_steps = refine_steps |? base.Config.refine_steps;
+      triage_filter = triage_filter |? base.Config.triage_filter;
+      contexts = contexts |? base.Config.contexts }
   in
   (* wall clock, not CPU time: Table 3 reports elapsed analysis time *)
   let analysis, seconds =
@@ -173,23 +179,23 @@ let run_config ?(jobs = 1) ?(refine = false) ?(refine_k = 3)
       r_sanitization = sanitization_of truth c.Taj.builder c.Taj.report }
 
 (** Run all five Table 1 configurations over one app. *)
-let run_app ?(scale = 0.05) ?(jobs = 1) ?(refine = false) ?(refine_k = 3)
-    ?(refine_steps = 4096) ?(triage_filter = true) ?(contexts = false)
-    ?(algorithms = Config.all_algorithms) (a : Apps.app) : run list =
+let run_app ?(scale = 0.05) ?(jobs = 1) ?refine ?refine_k ?refine_steps
+    ?triage_filter ?contexts ?(algorithms = Config.all_algorithms)
+    (a : Apps.app) : run list =
   let g = Apps.generate ~scale a in
   let loaded = Taj.load ~jobs (Codegen.to_input g) in
   List.map
-    (run_config ~jobs ~refine ~refine_k ~refine_steps ~triage_filter
-       ~contexts ~loaded ~truth:g.Codegen.g_truth ~app:a.Apps.name ~scale)
+    (run_config ~jobs ?refine ?refine_k ?refine_steps ?triage_filter
+       ?contexts ~loaded ~truth:g.Codegen.g_truth ~app:a.Apps.name ~scale)
     algorithms
 
 (** {!run_app}, but a failure is returned as [(phase, error)] instead of
     raised — the machine-readable form the bench harness needs to emit
     failure rows with phase attribution. *)
-let run_app_result ?(scale = 0.05) ?(jobs = 1) ?(refine = false)
-    ?(refine_k = 3) ?(refine_steps = 4096) ?(triage_filter = true)
-    ?(contexts = false) ?(algorithms = Config.all_algorithms)
-    (a : Apps.app) : (run list, string * string) result =
+let run_app_result ?(scale = 0.05) ?(jobs = 1) ?refine ?refine_k
+    ?refine_steps ?triage_filter ?contexts
+    ?(algorithms = Config.all_algorithms) (a : Apps.app) :
+  (run list, string * string) result =
   match Apps.generate ~scale a with
   | exception e -> Error ("generate", Printexc.to_string e)
   | g ->
@@ -198,8 +204,8 @@ let run_app_result ?(scale = 0.05) ?(jobs = 1) ?(refine = false)
      | loaded ->
        (match
           List.map
-            (run_config ~jobs ~refine ~refine_k ~refine_steps
-               ~triage_filter ~contexts ~loaded ~truth:g.Codegen.g_truth
+            (run_config ~jobs ?refine ?refine_k ?refine_steps
+               ?triage_filter ?contexts ~loaded ~truth:g.Codegen.g_truth
                ~app:a.Apps.name ~scale)
             algorithms
         with

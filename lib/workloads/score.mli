@@ -60,9 +60,11 @@ val run_config :
 
 (** Run the given configurations (default: all five) over one app.
     [jobs] sizes the worker pool inside each analysis (frontend parse and
-    per-rule tabulation); default 1 = sequential. [triage_filter] (default
-    on) lets the metamorphic CI check score with the pre-filter disabled —
-    the reports must not change. *)
+    per-rule tabulation); default 1 = sequential. [refine], [refine_k],
+    [refine_steps], [triage_filter] and [contexts] override the preset's
+    fields; when omitted they keep {!Core.Config.preset}'s defaults.
+    [triage_filter] lets the metamorphic CI check score with the
+    pre-filter enabled — the reports must not change. *)
 val run_app :
   ?scale:float -> ?jobs:int -> ?refine:bool -> ?refine_k:int ->
   ?refine_steps:int -> ?triage_filter:bool -> ?contexts:bool ->

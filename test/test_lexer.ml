@@ -12,7 +12,14 @@ let check_toks msg src expected =
 
 let test_idents_keywords () =
   check_toks "mix" "class Foo extends bar"
-    [ KW "class"; IDENT "Foo"; KW "extends"; IDENT "bar"; EOF ]
+    [ KW "class"; IDENT "Foo"; KW "extends"; IDENT "bar"; EOF ];
+  List.iter
+    (fun k -> check_toks ("keyword " ^ k) k [ KW k; EOF ])
+    Lexer.keywords;
+  (* a keyword as a prefix, suffix or part of a longer name is an identifier *)
+  check_toks "keyword inside identifiers" "classy doIt iff done newX"
+    [ IDENT "classy"; IDENT "doIt"; IDENT "iff"; IDENT "done"; IDENT "newX";
+      EOF ]
 
 let test_numbers () =
   check_toks "ints" "0 42 1234"
@@ -32,7 +39,17 @@ let test_puncts () =
     [ PUNCT "=="; PUNCT "!="; PUNCT "<="; PUNCT ">="; PUNCT "&&"; PUNCT "||";
       PUNCT "+"; PUNCT "-"; PUNCT "*"; PUNCT "/"; PUNCT "%"; PUNCT "=";
       PUNCT "<"; PUNCT ">"; PUNCT "!"; PUNCT "."; PUNCT ","; PUNCT ";";
-      PUNCT "("; PUNCT ")"; PUNCT "{"; PUNCT "}"; PUNCT "["; PUNCT "]"; EOF ]
+      PUNCT "("; PUNCT ")"; PUNCT "{"; PUNCT "}"; PUNCT "["; PUNCT "]"; EOF ];
+  check_toks "compound ops" "++ -- += -= *= /="
+    [ PUNCT "++"; PUNCT "--"; PUNCT "+="; PUNCT "-="; PUNCT "*=";
+      PUNCT "/="; EOF ];
+  check_toks "single-char ops" "& | ? :"
+    [ PUNCT "&"; PUNCT "|"; PUNCT "?"; PUNCT ":"; EOF ];
+  (* greedy: the longest operator at each position wins *)
+  check_toks "greedy a+++b" "a+++b"
+    [ IDENT "a"; PUNCT "++"; PUNCT "+"; IDENT "b"; EOF ];
+  check_toks "greedy x==-1" "x==-1"
+    [ IDENT "x"; PUNCT "=="; PUNCT "-"; INT 1; EOF ]
 
 let test_comments () =
   check_toks "line" "a // comment\nb" [ IDENT "a"; IDENT "b"; EOF ];

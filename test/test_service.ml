@@ -385,6 +385,7 @@ let test_chaos_no_lost_jobs () =
   let crashers = List.init 15 (fun i -> Printf.sprintf "crash-%d" i) in
   let flaky = List.init 15 (fun i -> Printf.sprintf "flaky-%d" i) in
   let late = List.init 20 (fun i -> Printf.sprintf "late-%d" i) in
+  let rung_zero = List.init 5 (fun i -> Printf.sprintf "triage-%d" i) in
   List.iter
     (fun id ->
        Fault.arm ~once:true ~action:(Fault.Stall 0.01) (Fault.site_job id)
@@ -401,11 +402,10 @@ let test_chaos_no_lost_jobs () =
        Fault.arm ~once:true ~action:Fault.Fail_transient (Fault.site_job id)
          ~after:1)
     flaky;
-  (* triage fault sites are global (not per-job): whichever job's pre-filter
-     run ticks them third and fifth degrades to the unfiltered pipeline and
-     still terminates — a crashing triage must never fail a job *)
+  (* triage fault sites are global (not per-job). Serve runs no
+     pre-filter by default, so only the rung-zero jobs run the inference:
+     whichever ticks it third absorbs the fault *)
   Fault.arm ~once:true Fault.site_triage_infer ~after:3;
-  Fault.arm ~once:true Fault.site_triage_filter ~after:5;
   let t =
     Serve.Service.create
       ~config:
@@ -413,9 +413,9 @@ let test_chaos_no_lost_jobs () =
       ()
   in
   let col = Collector.create () in
-  let submit ?app ?source ?deadline id =
+  let submit ?app ?source ?deadline ?algorithm id =
     Serve.Service.submit t
-      (Serve.Service.request ?app ?source ?deadline id)
+      (Serve.Service.request ?app ?source ?deadline ?algorithm id)
       ~respond:(Collector.respond col)
   in
   (* interleave the classes so every worker sees a mix *)
@@ -428,14 +428,16 @@ let test_chaos_no_lost_jobs () =
        if i < 15 then submit ~app:"BlueBlog" (List.nth crashers i);
        if i < 15 then submit ~source:two_flows (List.nth flaky i);
        if i < 20 then
-         submit ~source:two_flows ~deadline:0.0 (List.nth late i))
+         submit ~source:two_flows ~deadline:0.0 (List.nth late i);
+       if i < 5 then
+         submit ~source:two_flows ~algorithm:Config.Type_triage
+           (List.nth rung_zero i))
     valid;
-  let total = 45 + 5 + 15 + 15 + 20 in
+  let total = 45 + 5 + 15 + 15 + 20 + 5 in
   let rs = Collector.await col total in
   Serve.Service.await_drained t;
-  Alcotest.(check bool) "both triage faults fired" true
-    (Fault.fired Fault.site_triage_infer > 0
-     && Fault.fired Fault.site_triage_filter > 0);
+  Alcotest.(check bool) "the triage fault fired" true
+    (Fault.fired Fault.site_triage_infer > 0);
   Fault.reset ();
   (* exactly one terminal response per job *)
   Alcotest.(check int) "every job answered exactly once" total
@@ -455,9 +457,10 @@ let test_chaos_no_lost_jobs () =
   let status_of id =
     (Option.get (Collector.find col id)).Serve.Service.rp_status
   in
-  (* a job whose pre-filter run absorbed one of the two armed triage
-     faults terminates Degraded (unfiltered pipeline, full answer) — every
-     other healthy job completes clean. Never a failure either way. *)
+  (* a job whose pre-filter run absorbed a triage fault would terminate
+     Degraded (unfiltered pipeline, full answer); serve runs no pre-filter
+     by default, so healthy jobs complete clean. Never a failure either
+     way. *)
   let triage_degraded =
     List.filter
       (fun id -> status_of id = Serve.Service.Degraded)
@@ -498,6 +501,22 @@ let test_chaos_no_lost_jobs () =
           | Serve.Service.Degraded | Serve.Service.Failed -> true
           | _ -> false))
     late;
+  (* rung-zero jobs answer type-only; the one whose inference absorbed
+     the armed fault has no rung below it, so it alone may fail *)
+  let rung_zero_failed =
+    List.filter (fun id -> status_of id = Serve.Service.Failed) rung_zero
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most the triage fault failed a rung-zero job (%d <= 1)"
+       (List.length rung_zero_failed))
+    true
+    (List.length rung_zero_failed <= 1);
+  List.iter
+    (fun id ->
+       if not (List.mem id rung_zero_failed) then
+         Alcotest.(check string) (id ^ " answered type-only") "type_only"
+           (Option.get (Collector.find col id)).Serve.Service.rp_reason)
+    rung_zero;
   (* the breaker capped the crasher app's executions: at most threshold
      failures open it, plus at most one in-flight execution per worker
      that acquired before the transition *)

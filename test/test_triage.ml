@@ -172,11 +172,13 @@ let run_with_fault site =
   Fun.protect ~finally:Fault.reset @@ fun () ->
   Fault.arm site ~after:1;
   let loaded = load [ servlet ] in
+  (* the pre-filter is opt-in: these cases fault it, so they turn it on *)
+  let config =
+    { (Config.preset ~scale:0.02 Config.Hybrid_optimized) with
+      Config.triage_filter = true }
+  in
   let report =
-    match
-      (Taj.run loaded (Config.preset ~scale:0.02 Config.Hybrid_optimized))
-        .Taj.result
-    with
+    match (Taj.run loaded config).Taj.result with
     | Taj.Did_not_complete r -> Alcotest.failf "did not complete: %s" r
     | Taj.Completed c ->
       Alcotest.(check bool) (site ^ ": fault fired") true
@@ -192,10 +194,7 @@ let run_with_fault site =
   in
   Fault.reset ();
   let clean =
-    match
-      (Taj.run loaded (Config.preset ~scale:0.02 Config.Hybrid_optimized))
-        .Taj.result
-    with
+    match (Taj.run loaded config).Taj.result with
     | Taj.Did_not_complete r -> Alcotest.failf "did not complete: %s" r
     | Taj.Completed c -> Fmt.str "%a" (Report.pp c.Taj.builder) c.Taj.report
   in
